@@ -187,6 +187,7 @@ func main() {
 	}
 	app.retry = *retry
 	app.maxFailures = *maxFailures
+	signalled := func() bool { return false }
 	if app.st != nil && !app.merge {
 		// Checkpointed evaluation runs stop gracefully on SIGINT/SIGTERM:
 		// no new point starts, in-flight points land in the store, the
@@ -194,15 +195,36 @@ func main() {
 		// scripts know to come back with -resume. A second signal falls
 		// through to the default handler and kills immediately.
 		done := make(chan struct{})
+		stop := make(chan struct{})
+		exited := make(chan struct{})
 		sigc := make(chan os.Signal, 1)
 		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 		go func() {
-			<-sigc
+			defer close(exited)
+			select {
+			case <-sigc:
+			case <-stop:
+				return
+			}
 			signal.Stop(sigc)
 			fmt.Fprintln(os.Stderr, "bbncg: interrupted — finishing in-flight points and flushing the store (continue with -resume)")
 			close(done)
 		}()
 		app.done = done
+		// signalled detaches the handler and reports whether it fired.
+		// Once it has printed the resume hint the exit code must be 5,
+		// even when the signal landed after every point was dispatched.
+		signalled = func() bool {
+			signal.Stop(sigc)
+			close(stop)
+			<-exited
+			select {
+			case <-done:
+				return true
+			default:
+				return false
+			}
+		}
 	}
 	err = app.run(cmd)
 	if app.st != nil {
@@ -231,10 +253,11 @@ func main() {
 			}
 		}
 	}
+	interrupted := signalled()
 	if err != nil {
 		fatal(err)
 	}
-	if app.interrupted > 0 {
+	if interrupted || app.interrupted > 0 {
 		// The signal handler already explained itself; the distinct exit
 		// code is the machine-readable half of the contract.
 		os.Exit(5)
@@ -370,8 +393,8 @@ continues an interrupted -out run; -shard i/k evaluates one
 deterministic partition of every point list (run all k shards, fetch,
 then merge). -retry N re-attempts transiently failing points;
 -max-failures N quarantines up to N failed points for a later -resume
-(exit code 3). -poolmb caps the incremental dynamics cache pool
-(BBNCG_INCREMENTAL=0 disables it). See docs/RUNNER.md.
+(exit code 3). -poolmb caps the incremental dynamics cache pool. See
+docs/RUNNER.md.
 `)
 }
 

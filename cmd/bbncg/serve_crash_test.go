@@ -268,18 +268,13 @@ func TestSweepInterruptExitCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(exe, "-out", dir, "conn")
-	// Slow every evaluation down so the signal reliably lands mid-sweep.
-	cmd.Env = append(os.Environ(), "BBNCG_REEXEC=1", "BBNCG_FAULTS=runner.eval=delay:300ms@*")
+	// The first evaluation raises SIGTERM; the later ones are slowed
+	// down, so the handler fires while the sweep is still running.
+	cmd.Env = append(os.Environ(), "BBNCG_REEXEC=1",
+		"BBNCG_FAULTS=runner.eval=sigterm@1;runner.eval=delay:300ms@2+")
 	var outb, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &outb, &errb
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(500 * time.Millisecond)
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	err = cmd.Wait()
+	err = cmd.Run()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 5 {
 		t.Fatalf("interrupted sweep: err=%v stderr:\n%s", err, errb.String())

@@ -382,7 +382,6 @@ func (dv *Deviator) clone() *Deviator {
 		s:      graph.NewScratch(dv.game.N()),
 		rows:   dv.rows,
 		inMin:  dv.inMin,
-		sumOn:  dv.sumOn,
 		colMin: dv.colMin, // immutable while clones are live; suffix scratch stays private
 		wts:    dv.wts,
 		woff:   dv.woff,
@@ -574,7 +573,7 @@ func (dv *Deviator) evalCached(strategy []int) int64 {
 			break
 		}
 	}
-	if dv.sumOn && dv.game.Version == SUM {
+	if dv.game.Version == SUM {
 		// SUM never reads the eccentricity or the component count, so the
 		// whole evaluation is one (or, past two anchors, a merged) blocked
 		// kernel pass instead of the per-vertex strategy loop below.
@@ -597,7 +596,7 @@ func (dv *Deviator) evalCached(strategy []int) int64 {
 		}
 		return costFrom(n, dv.cinf, SUM, graph.BFSResult{Sum: s, Reached: reached + 1}, 1)
 	}
-	var sum int64
+	// MAX: eccentricity and reach over the per-vertex strategy min.
 	var ecc int32
 	reached := 1
 	rows, inMin := dv.rows, dv.inMin
@@ -611,18 +610,15 @@ func (dv *Deviator) evalCached(strategy []int) int64 {
 		if m >= graph.InfDist {
 			continue
 		}
-		d := m + 1
-		sum += int64(d)
-		if d > ecc {
+		if d := m + 1; d > ecc {
 			ecc = d
 		}
 		reached++
 	}
-	res := graph.BFSResult{Ecc: ecc, Sum: sum, Reached: reached}
 	kappa := 1
-	if res.Reached != dv.game.N() {
+	if reached != n {
 		touched := graph.CountComponentsTouched(dv.label, dv.seen, dv.u, strategy, dv.in)
 		kappa = dv.comps - touched + 1
 	}
-	return costFrom(dv.game.N(), dv.cinf, dv.game.Version, res, kappa)
+	return costFrom(n, dv.cinf, MAX, graph.BFSResult{Ecc: ecc, Reached: reached}, kappa)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -24,9 +23,7 @@ import (
 // skips even the O(n+m) UnderlyingWithout rebuild + DiffUnd, and the
 // mutation journal hands Repair the exact edge delta when only a few
 // movers touched the graph. A settled round is then O(movers), not
-// O(players): untouched players cost a stamp comparison each. Setting
-// BBNCG_STAMPS=0 restores the diff-always resync path (results are
-// identical either way).
+// O(players): untouched players cost a stamp comparison each.
 //
 // Admission is static: players are pooled first-come within the byte
 // budget, and everyone else gets a plain per-call Deviator. Dynamics
@@ -53,19 +50,6 @@ import (
 // (diam+1)/32 of the matrix bytes on top — so operators sizing the
 // budget to a machine should leave that headroom.
 var DefaultPoolBudget int64 = 1 << 30
-
-// IncrementalEnabled reports whether the incremental cache-reuse path
-// is on (the default). Setting BBNCG_INCREMENTAL=0 disables it — the
-// engines fall back to refill-per-mover — for A/B benchmarking; results
-// are identical either way.
-func IncrementalEnabled() bool { return os.Getenv("BBNCG_INCREMENTAL") != "0" }
-
-// StampsEnabled reports whether generation-stamped cache resync is on
-// (the default). Setting BBNCG_STAMPS=0 restores the diff-always
-// acquisition path — every stale entry pays the UnderlyingWithout
-// rebuild + DiffUnd — for A/B benchmarking; results are identical
-// either way. Pools snapshot the knob at construction.
-func StampsEnabled() bool { return os.Getenv("BBNCG_STAMPS") != "0" }
 
 // PoolStats counts what a CachePool did over its lifetime.
 type PoolStats struct {
@@ -109,7 +93,6 @@ type CachePool struct {
 	version int64 // bumped by Invalidate
 	entries map[int]*poolEntry
 	resp    []respEntry // round-level best-response memo, indexed by player
-	stamps  bool        // StampsEnabled() snapshot at construction
 	closed  bool
 	ctr     poolCounters
 
@@ -161,7 +144,6 @@ func NewCachePool(g *Game, budgetBytes int64) *CachePool {
 		budget:  budgetBytes,
 		per:     4 * n * (n + 1),
 		entries: make(map[int]*poolEntry),
-		stamps:  StampsEnabled(),
 	}
 }
 
@@ -181,10 +163,9 @@ func NewWeightedCachePool(g *Game, budgetBytes int64, wts *graph.Weights) *Cache
 // Invalidate marks the graph as changed — an accepted move, or a whole
 // graph swap in the profile-enumeration harnesses: every pooled entry
 // is stale and will be resynced on its next acquisition. Staleness is
-// pool-wide, not per-mover; with stamps on the resync is a generation
-// comparison for untouched players, and without them an O(n+m) diff, so
-// over-invalidation stays cheap either way. Nil-safe and a no-op after
-// Close so disabled-pool call sites stay branchless.
+// pool-wide, not per-mover; the resync is a generation comparison for
+// untouched players, so over-invalidation stays cheap. Nil-safe and a
+// no-op after Close so disabled-pool call sites stay branchless.
 func (p *CachePool) Invalidate() {
 	if p != nil && !p.closed {
 		p.version++
@@ -251,7 +232,7 @@ func (p *CachePool) resync(e *poolEntry, d *graph.Digraph) {
 		e.dv.syncWeights()
 		p.ctr.repairs.Add(1)
 	}
-	if p.stamps && e.graph != nil {
+	if e.graph != nil {
 		if e.graph == d {
 			if e.gen == d.Gen() {
 				e.dv.noteStable()
@@ -302,7 +283,7 @@ func (p *CachePool) noteRepair(st graph.RepairStats) {
 // would return the same answer. The caller must treat a true return as
 // a non-improving BestResponse (the zero value).
 func (p *CachePool) SkipResponse(d *graph.Digraph, u int) bool {
-	if p == nil || p.closed || !p.stamps || p.resp == nil {
+	if p == nil || p.closed || p.resp == nil {
 		return false
 	}
 	r := p.resp[u]
@@ -324,7 +305,7 @@ func (p *CachePool) SkipResponse(d *graph.Digraph, u int) bool {
 // answer is memoised under the graph's current anchor, an improving one
 // clears the memo (u is about to rewire).
 func (p *CachePool) NoteResponse(d *graph.Digraph, u int, improved bool) {
-	if p == nil || p.closed || !p.stamps {
+	if p == nil || p.closed {
 		return
 	}
 	if p.resp == nil {
@@ -357,10 +338,9 @@ func (p *CachePool) ResetResponseMemo() {
 // overlaps the current responder's scan. It returns a wait handle the
 // caller MUST invoke before its next pool call, Release of u's
 // Deviator, or any mutation of d — or nil when there is nothing to
-// prefetch (no pooled entry, entry already current, pool closed, or
-// stamps off).
+// prefetch (no pooled entry, entry already current, or pool closed).
 func (p *CachePool) Prefetch(d *graph.Digraph, u int) func() {
-	if p == nil || p.closed || !p.stamps {
+	if p == nil || p.closed {
 		return nil
 	}
 	e, ok := p.entries[u]

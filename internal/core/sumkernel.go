@@ -1,10 +1,6 @@
 package core
 
-import (
-	"os"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // SUM-side evaluation kernel: the candidate-pruning layer over the
 // blocked min-merge kernels of internal/graph (summerge.go).
@@ -48,9 +44,8 @@ import (
 //     budget that is itself >= the minimum), and Explored counts are
 //     unchanged because pruned candidates still count as explored.
 //
-// The layer is gated by BBNCG_SUMKERNEL (default on) mirroring
-// BBNCG_INCREMENTAL, and only engages for SUM Deviators with an active
-// distance cache; MAX evaluation keeps the PR 4 bitset kernel.
+// The layer only engages for SUM Deviators with an active distance
+// cache; MAX evaluation keeps the PR 4 bitset kernel.
 
 // On top of the floor bounds sits the exact per-candidate memo: a
 // pooled Deviator remembers each greedy round's candidate costs and the
@@ -65,18 +60,10 @@ import (
 // aborting the (few) stale candidates' rescans early — which is where
 // the headline SUM round speedup comes from.
 
-// SumKernelEnabled reports whether the blocked SUM evaluation kernel and
-// its candidate-pruning bounds are on (the default). Setting
-// BBNCG_SUMKERNEL=0 restores the scalar min-merge paths for A/B
-// benchmarking; results are identical either way. The flag is read once
-// per Deviator, at construction.
-func SumKernelEnabled() bool { return os.Getenv("BBNCG_SUMKERNEL") != "0" }
-
 // sumPrune reports whether SUM evaluation on this Deviator may use the
-// bounded kernel: SUM version, active distance cache, kernel enabled at
-// construction.
+// bounded kernel: SUM version and an active distance cache.
 func (dv *Deviator) sumPrune() bool {
-	return dv.sumOn && dv.game.Version == SUM && dv.rows != nil
+	return dv.game.Version == SUM && dv.rows != nil
 }
 
 // sumPruneScan reports whether a greedy/swap candidate scan should run

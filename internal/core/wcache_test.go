@@ -113,34 +113,27 @@ func TestWeightedUnitBridge(t *testing.T) {
 	}
 }
 
-// The weighted responders must return identical responses across the
-// whole knob matrix (BBNCG_WSTEP × BBNCG_SUMKERNEL): the knobs select
-// implementations, never results.
-func TestWeightedResponderKnobMatrix(t *testing.T) {
+// The weighted responders on the cached engine (Δ-stepping fill, SUM
+// kernel) must return exactly the response of the oracle, an uncached
+// weighted Deviator that evaluates every candidate by Dijkstra.
+func TestWeightedRespondersMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	families := weightedFamilies(rng)
-	type cfg struct{ wstep, kernel string }
-	cfgs := []cfg{{"1", "1"}, {"0", "1"}, {"1", "0"}, {"0", "0"}}
-	for name, d := range families {
+	for name, d := range weightedFamilies(rng) {
 		for _, version := range []Version{SUM, MAX} {
 			g := GameOf(d, version)
 			wts := graph.NewWeights(g.N(), 17, 9)
 			u := rng.Intn(g.N())
-			var ref BestResponse
-			for i, c := range cfgs {
-				t.Setenv("BBNCG_WSTEP", c.wstep)
-				t.Setenv("BBNCG_SUMKERNEL", c.kernel)
-				br := WeightedGreedyResponder(wts)(g, d, u)
-				sw := WeightedSwapResponder(wts)(g, d, u)
-				if i == 0 {
-					ref = br
-					continue
-				}
-				if br.Cost != ref.Cost || br.Current != ref.Current || fmt.Sprint(br.Strategy) != fmt.Sprint(ref.Strategy) {
-					t.Fatalf("%s/%v u=%d cfg=%+v: greedy %+v, reference %+v", name, version, u, c, br, ref)
-				}
-				if sw.Cost > sw.Current {
-					t.Fatalf("%s/%v u=%d cfg=%+v: swap worsened: %+v", name, version, u, c, sw)
+			oracle := NewWeightedDeviator(g, d, u, wts)
+			for _, c := range []struct {
+				name      string
+				got, want BestResponse
+			}{
+				{"greedy", WeightedGreedyResponder(wts)(g, d, u), g.greedyOn(oracle, d)},
+				{"swap", WeightedSwapResponder(wts)(g, d, u), g.swapOn(oracle, d)},
+			} {
+				if c.got.Cost != c.want.Cost || c.got.Current != c.want.Current ||
+					c.got.Explored != c.want.Explored || fmt.Sprint(c.got.Strategy) != fmt.Sprint(c.want.Strategy) {
+					t.Fatalf("%s/%v u=%d %s: engine %+v, oracle %+v", name, version, u, c.name, c.got, c.want)
 				}
 			}
 		}
@@ -198,14 +191,6 @@ func weightedStream(t *testing.T, version Version) {
 
 func TestWeightedPoolRepairVsRefillSUM(t *testing.T) { weightedStream(t, SUM) }
 func TestWeightedPoolRepairVsRefillMAX(t *testing.T) { weightedStream(t, MAX) }
-
-// The same stream with stamps and the stepping kernel disabled must
-// still agree (the BBNCG_STAMPS leg of the knob matrix).
-func TestWeightedPoolKnobsOff(t *testing.T) {
-	t.Setenv("BBNCG_STAMPS", "0")
-	t.Setenv("BBNCG_WSTEP", "0")
-	weightedStream(t, SUM)
-}
 
 // Settled weighted rounds must be free: untouched graph and weights
 // cost a generation comparison per player — no repairs, no resyncs.
@@ -325,51 +310,5 @@ func TestWeightedCacheRefusesOverflow(t *testing.T) {
 	}
 	if c := dv.Eval([]int{0}); c <= 0 {
 		t.Fatalf("fallback Eval = %d", c)
-	}
-}
-
-// Satellite: WeightedBestResponsePooled must reuse the warm pool —
-// exactly one fill per player across repeated calls — and agree with
-// the throwaway-Deviator path, folds included (the Section-6 zero-
-// weight vertices contribute nothing on either path).
-func TestWeightedBestResponsePooled(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	d := graph.RandomOutDigraph([]int{1, 2, 1, 1, 2, 1, 1, 2, 1, 1}, rng)
-	wg := NewWeighted(d)
-	wg.W[3] = 0 // folded away
-	wg.W[7] = 4 // weight transferred by a fold
-	pool := NewCachePool(GameOf(d, SUM), 0)
-	defer pool.Close()
-	for pass := 0; pass < 3; pass++ {
-		for u := 0; u < d.N(); u++ {
-			if !wg.Alive(u) {
-				continue
-			}
-			got, err := wg.WeightedBestResponsePooled(u, 0, pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := wg.WeightedBestResponse(u, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cost != want.Cost || got.Current != want.Current {
-				t.Fatalf("pass %d u=%d: pooled %+v, plain %+v", pass, u, got, want)
-			}
-		}
-	}
-	if st := pool.Stats(); st.Fills != int64(d.N()-1) {
-		t.Fatalf("expected one fill per alive player, got %+v", st)
-	}
-	dev, err := wg.WeightedNashDeviationPooled(0, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devPlain, err := wg.WeightedNashDeviation(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (dev == nil) != (devPlain == nil) {
-		t.Fatalf("pooled deviation %+v, plain %+v", dev, devPlain)
 	}
 }

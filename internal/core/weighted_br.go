@@ -25,18 +25,6 @@ import (
 // DefaultCacheBudget the historical rebuild path runs instead; both
 // paths are bit-identical (weighted_br_test.go pins the equivalence).
 func (wg *WeightedGraph) WeightedBestResponse(u int, maxCandidates int64) (BestResponse, error) {
-	return wg.WeightedBestResponsePooled(u, maxCandidates, nil)
-}
-
-// WeightedBestResponsePooled is WeightedBestResponse evaluating on a
-// warm CachePool entry instead of a throwaway Deviator: repeated calls
-// (the WeightedNashDeviation sweep, analysis audits over a run) reuse
-// the pooled G-u rows across players and rounds — one stamp check or
-// repair instead of a full matrix fill per call. pool must be an
-// unweighted (arc-wise) SUM pool over wg.D's vertex count; nil pool, an
-// over-budget player or an arc-weighted pool fall back to the one-shot
-// Deviator. All paths are bit-identical.
-func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, pool *CachePool) (BestResponse, error) {
 	if !wg.Alive(u) {
 		return BestResponse{}, fmt.Errorf("core: vertex %d is folded away", u)
 	}
@@ -52,14 +40,7 @@ func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, 
 		return BestResponse{}, fmt.Errorf("core: weighted strategy space %d exceeds %d", space, maxCandidates)
 	}
 	cur := append([]int(nil), wg.D.Out(u)...)
-	var dv *Deviator
-	if pool != nil && pool.wts == nil {
-		// Section-6 weighting is per-vertex over unweighted distances, so
-		// only an unweighted pool's rows are the rows this scan needs.
-		dv = pool.Acquire(wg.D, u)
-	} else {
-		dv = NewDeviator(GameOf(wg.D, SUM), wg.D, u)
-	}
+	dv := NewDeviator(GameOf(wg.D, SUM), wg.D, u)
 	defer dv.Release()
 	cached := dv.EnsureCache(DefaultCacheBudget)
 
@@ -71,16 +52,14 @@ func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, 
 	}
 	res.Cost = res.Current
 
-	// With the kernel on, the enumeration keeps a stack of partial
-	// min-vectors over the combination prefix (exactly like the exact
-	// responder), so a leaf costs one fused O(n) weighted pass instead of
-	// re-merging all b rows; BBNCG_SUMKERNEL=0 restores the historical
-	// per-candidate weightedEval. Both paths are bit-identical.
+	// Over the cache the enumeration keeps a stack of partial min-vectors
+	// over the combination prefix (exactly like the exact responder), so
+	// a leaf costs one fused O(n) weighted pass instead of re-merging all
+	// b rows.
 	n := wg.D.N()
-	kernel := cached && dv.sumOn
 	var vecs [][]int32
 	var w0 []int64
-	if kernel {
+	if cached {
 		w0 = append([]int64(nil), wg.W...)
 		w0[u] = 0 // the source never pays for itself; vec[u] is InfDist
 		vecs = make([][]int32, b)
@@ -104,15 +83,11 @@ func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, 
 			}
 			var c int64
 			switch {
-			case kernel:
-				if b == 0 {
-					c = graph.WeightedSumMerge(dv.inMin, nil, w0, cinf)
-				} else {
-					last := trial[b-1]
-					c = graph.WeightedSumMerge(vecs[b-1], dv.rows[last*n:(last+1)*n], w0, cinf)
-				}
+			case cached && b == 0:
+				c = graph.WeightedSumMerge(dv.inMin, nil, w0, cinf)
 			case cached:
-				c = dv.weightedEval(trial, wg.W)
+				last := trial[b-1]
+				c = graph.WeightedSumMerge(vecs[b-1], dv.rows[last*n:(last+1)*n], w0, cinf)
 			default:
 				wg.D.SetOut(u, trial)
 				c = wg.Cost(u)
@@ -126,7 +101,7 @@ func (wg *WeightedGraph) WeightedBestResponsePooled(u int, maxCandidates int64, 
 		}
 		for i := start; i <= len(targets)-(b-at); i++ {
 			comb[at] = i
-			if kernel && at < b-1 {
+			if cached && at < b-1 {
 				copy(vecs[at+1], vecs[at])
 				v := targets[i]
 				graph.MinInto(vecs[at+1], dv.rows[v*n:(v+1)*n])
@@ -175,19 +150,11 @@ func (dv *Deviator) weightedEval(strategy []int, w []int64) int64 {
 // full-strategy deviation, returning nil if the weighted graph is a Nash
 // equilibrium of the weighted SUM game restricted to alive vertices.
 func (wg *WeightedGraph) WeightedNashDeviation(maxCandidates int64) (*Deviation, error) {
-	return wg.WeightedNashDeviationPooled(maxCandidates, nil)
-}
-
-// WeightedNashDeviationPooled is WeightedNashDeviation over a warm
-// CachePool (see WeightedBestResponsePooled): the per-player sweep is
-// exactly where the throwaway-Deviator cost compounded, n cache fills
-// per audit.
-func (wg *WeightedGraph) WeightedNashDeviationPooled(maxCandidates int64, pool *CachePool) (*Deviation, error) {
 	for u := 0; u < wg.D.N(); u++ {
 		if !wg.Alive(u) || wg.D.OutDegree(u) == 0 {
 			continue
 		}
-		br, err := wg.WeightedBestResponsePooled(u, maxCandidates, pool)
+		br, err := wg.WeightedBestResponse(u, maxCandidates)
 		if err != nil {
 			return nil, err
 		}

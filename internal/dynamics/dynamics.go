@@ -75,17 +75,16 @@ type Options struct {
 	// concurrent invocation against a fixed graph — all responders in
 	// package core are.
 	Parallel bool
-	// Cached is the pooled (Deviator) form of Responder. When set — and
-	// the incremental path is enabled (core.IncrementalEnabled; disable
-	// with BBNCG_INCREMENTAL=0 for A/B benching) — the engine keeps one
-	// cached Deviator per player in a core.CachePool for the whole run:
-	// after each accepted move the pool is invalidated and each player's
-	// dist_{G-u} matrix is lazily *repaired* (delta BFS over the edges
-	// the movers actually changed) on its next use instead of refilled
-	// from scratch, which removes the dominant O(n²)-fill-per-mover cost
-	// of cached dynamics. Cached must compute exactly the same response
-	// as Responder; the built-in core pairs do, pinned by equivalence
-	// tests. Results are identical with and without it.
+	// Cached is the pooled (Deviator) form of Responder. When set, the
+	// engine keeps one cached Deviator per player in a core.CachePool
+	// for the whole run: after each accepted move the pool is
+	// invalidated and each player's dist_{G-u} matrix is lazily
+	// *repaired* (delta BFS over the edges the movers actually changed)
+	// on its next use instead of refilled from scratch, which removes
+	// the dominant O(n²)-fill-per-mover cost of cached dynamics. Cached
+	// must compute exactly the same response as Responder; the built-in
+	// core pairs do, pinned by equivalence tests. Results are identical
+	// with and without it.
 	Cached core.DeviatorResponder
 	// PoolBudget caps the cache pool size in bytes; 0 means
 	// core.DefaultPoolBudget.
@@ -107,18 +106,34 @@ type Options struct {
 	Weights *graph.Weights
 }
 
-// newPool resolves the run's cache pool: nil when the incremental path
-// is off (no Cached responder, or disabled by environment), the
-// caller's external pool when supplied, else a fresh run-owned pool.
-// owned reports whether the run must Close it.
-func (opts Options) newPool(g *core.Game) (pool *core.CachePool, owned bool) {
-	if opts.Cached == nil || !core.IncrementalEnabled() {
-		return nil, false
+// runState resolves a run's cache pool and per-player response
+// function over the run graph d. The pool is nil without a Cached
+// responder; otherwise it is the caller's external pool — invalidated,
+// since it may have been repaired toward some other graph since its
+// last use here (a stamp skip when nothing actually changed), and with
+// its response memo dropped, since a different responder may have
+// recorded it — or a fresh run-owned pool. A live pool gets a bounded
+// mutation journal on d, so stale entries repair from the exact edge
+// deltas of the accepted moves instead of a full adjacency diff; the
+// bound covers several rounds of typical move churn, and overflow just
+// falls back to the diff. The caller must defer done, which closes a
+// run-owned pool.
+func (opts Options) runState(g *core.Game, d *graph.Digraph) (pool *core.CachePool, respond func(d *graph.Digraph, u, next int) core.BestResponse, done func()) {
+	done = func() {}
+	switch {
+	case opts.Cached == nil:
+	case opts.Pool != nil:
+		pool = opts.Pool
+		pool.Invalidate()
+		pool.ResetResponseMemo()
+	default:
+		pool = core.NewWeightedCachePool(g, opts.PoolBudget, opts.Weights)
+		done = pool.Close
 	}
-	if opts.Pool != nil {
-		return opts.Pool, false
+	if pool != nil {
+		d.StartJournal(4*d.N() + 64)
 	}
-	return core.NewWeightedCachePool(g, opts.PoolBudget, opts.Weights), true
+	return pool, respondWith(g, pool, opts), done
 }
 
 // socialCost is the trajectory metric of a run: weighted diameter when
@@ -195,20 +210,8 @@ func Run(g *core.Game, start *graph.Digraph, opts Options) (Result, error) {
 	n := g.N()
 	order := make([]int, n)
 	res := Result{}
-	pool, ownedPool := opts.newPool(g)
-	if ownedPool {
-		defer pool.Close()
-	} else {
-		// An external pool may have been repaired toward some other
-		// graph since its last use here; force the first acquisition of
-		// every entry to re-diff against this run's start (a no-op diff
-		// or stamp skip when nothing actually changed), and drop the
-		// response memo, which a different responder may have recorded.
-		pool.Invalidate()
-		pool.ResetResponseMemo()
-	}
-	startJournal(d, pool)
-	respond := respondWith(g, pool, opts)
+	pool, respond, done := opts.runState(g, d)
+	defer done()
 	par := opts.Parallel && runtime.GOMAXPROCS(0) > 1
 	var seen map[uint64][]seenProfile
 	if opts.DetectLoops {
@@ -277,17 +280,6 @@ func Run(g *core.Game, start *graph.Digraph, opts Options) (Result, error) {
 	}
 	res.Final = d
 	return res, nil
-}
-
-// startJournal attaches a bounded mutation journal to the run graph so
-// a live stamped pool can repair stale entries from the exact edge
-// deltas of the accepted moves instead of a full adjacency diff. The
-// bound covers several rounds of typical move churn; overflow just
-// falls back to the diff path.
-func startJournal(d *graph.Digraph, pool *core.CachePool) {
-	if pool != nil && core.StampsEnabled() {
-		d.StartJournal(4*d.N() + 64)
-	}
 }
 
 // nextEligible returns the first player at or after index i in order

@@ -10,7 +10,7 @@ import (
 )
 
 // Incremental (pooled, repair-per-move) dynamics must reproduce the
-// refill-per-mover path exactly: same moves, same rounds, same final
+// plain per-call Responder exactly: same moves, same rounds, same final
 // profile, for both engines, both versions, and every built-in
 // responder pair.
 func TestIncrementalDynamicsMatchesRefill(t *testing.T) {
@@ -55,27 +55,6 @@ func TestIncrementalDynamicsMatchesRefill(t *testing.T) {
 			}
 		}
 	}
-}
-
-// BBNCG_INCREMENTAL=0 must force the refill path even when a Cached
-// responder is wired, and still produce identical results.
-func TestIncrementalEnvDisable(t *testing.T) {
-	t.Setenv("BBNCG_INCREMENTAL", "0")
-	g := core.UniformGame(8, 1, core.SUM)
-	start := RandomProfile(g, rand.New(rand.NewSource(4)))
-	opts := Options{Responder: core.GreedyResponder, Cached: core.GreedyDeviatorResponder, MaxRounds: 100}
-	if pool, _ := opts.newPool(g); pool != nil {
-		t.Fatal("pool built despite BBNCG_INCREMENTAL=0")
-	}
-	got, err := Run(g, start, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(g, start, Options{Responder: core.GreedyResponder, MaxRounds: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "Run", got, want)
 }
 
 // The race test of the pooled speculative path: many parallel rounds

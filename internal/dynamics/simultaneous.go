@@ -32,20 +32,8 @@ func RunSimultaneous(g *core.Game, start *graph.Digraph, opts Options) (Result, 
 	d := start.Clone()
 	n := g.N()
 	res := Result{}
-	pool, ownedPool := opts.newPool(g)
-	if ownedPool {
-		defer pool.Close()
-	} else {
-		// An external pool may have been repaired toward some other
-		// graph since its last use here; force the first acquisition of
-		// every entry to re-diff against this run's start (a no-op diff
-		// or stamp skip when nothing actually changed), and drop the
-		// response memo, which a different responder may have recorded.
-		pool.Invalidate()
-		pool.ResetResponseMemo()
-	}
-	startJournal(d, pool)
-	respond := respondWith(g, pool, opts)
+	pool, respond, done := opts.runState(g, d)
+	defer done()
 	seen := make(map[uint64][]seenProfile)
 	recordProfile(seen, core.ProfileOf(d), 0)
 	next := make([][]int, n)
@@ -134,20 +122,8 @@ func WelfareTrace(g *core.Game, start *graph.Digraph, opts Options) ([]int64, Re
 	d := start.Clone()
 	n := g.N()
 	order := make([]int, n)
-	pool, ownedPool := opts.newPool(g)
-	if ownedPool {
-		defer pool.Close()
-	} else {
-		// An external pool may have been repaired toward some other
-		// graph since its last use here; force the first acquisition of
-		// every entry to re-diff against this run's start (a no-op diff
-		// or stamp skip when nothing actually changed), and drop the
-		// response memo, which a different responder may have recorded.
-		pool.Invalidate()
-		pool.ResetResponseMemo()
-	}
-	startJournal(d, pool)
-	respond := respondWith(g, pool, opts)
+	pool, respond, done := opts.runState(g, d)
+	defer done()
 	welfare := func() int64 {
 		var total int64
 		for _, c := range g.AllCosts(d) {

@@ -9,9 +9,11 @@ import (
 )
 
 // Stamped dynamics (generation-stamped pool resync, journal delta
-// repair, round memo, prefetch) must reproduce the diff-always path
-// exactly: same moves, same rounds, same final profile, across engines,
-// versions, responder pairs, and the parallel speculative path.
+// repair, round memo, prefetch) must reproduce a run that recomputes
+// every response from scratch: same moves, same rounds, same final
+// profile, across engines, versions, responder pairs, and the parallel
+// speculative path. The reference is the plain per-call Responder with
+// no pool, which is stricter than the former diff-always resync path.
 func TestStampedDynamicsMatchesDiffAlways(t *testing.T) {
 	pairs := []struct {
 		name   string
@@ -33,11 +35,12 @@ func TestStampedDynamicsMatchesDiffAlways(t *testing.T) {
 						}
 						g := core.UniformGame(10, 1, ver)
 						start := RandomProfile(g, rand.New(rand.NewSource(seed)))
-						opts := Options{
-							Responder: p.plain, Cached: p.cached,
+						plain := Options{
+							Responder:   p.plain,
 							DetectLoops: true, MaxRounds: 200, Parallel: parallel,
 						}
-						t.Setenv("BBNCG_STAMPS", "1")
+						opts := plain
+						opts.Cached = p.cached
 						stamped, err := Run(g, start, opts)
 						if err != nil {
 							t.Fatal(err)
@@ -46,17 +49,16 @@ func TestStampedDynamicsMatchesDiffAlways(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						t.Setenv("BBNCG_STAMPS", "0")
-						diffed, err := Run(g, start, opts)
+						fresh, err := Run(g, start, plain)
 						if err != nil {
 							t.Fatal(err)
 						}
-						diffedSim, err := RunSimultaneous(g, start, opts)
+						freshSim, err := RunSimultaneous(g, start, plain)
 						if err != nil {
 							t.Fatal(err)
 						}
-						assertSameResult(t, "Run", stamped, diffed)
-						assertSameResult(t, "RunSimultaneous", stampedSim, diffedSim)
+						assertSameResult(t, "Run", stamped, fresh)
+						assertSameResult(t, "RunSimultaneous", stampedSim, freshSim)
 					})
 				}
 			}

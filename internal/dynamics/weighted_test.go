@@ -9,13 +9,14 @@ import (
 	"repro/internal/graph"
 )
 
-// A weighted run must be invariant across the whole engine knob matrix
-// and across pooled vs plain responders: the weighted cache tier, the
-// Δ-stepping fill, the stamps ladder and the SUM kernel select
-// implementations, never trajectories.
-func TestRunWeightedKnobMatrix(t *testing.T) {
+// A pooled weighted run (weighted cache tier, Δ-stepping fill and
+// repair, stamps ladder, SUM kernel) must reproduce the plain per-call
+// weighted responder and the uncached oracle, which evaluates every
+// candidate by Dijkstra: the engine selects implementations, never
+// trajectories.
+func TestRunWeightedMatchesOracle(t *testing.T) {
 	g := core.UniformGame(20, 2, core.SUM)
-	wts := graph.NewWeights(20, 11, 7)
+	wts := graph.NewWeights(20, 11, 16)
 	start := RandomProfile(g, rand.New(rand.NewSource(3)))
 
 	run := func(pooled bool) Result {
@@ -47,18 +48,12 @@ func TestRunWeightedKnobMatrix(t *testing.T) {
 		t.Fatalf("weighted dynamics did not converge: %+v", ref)
 	}
 	same(ref, run(false), "plain responder")
-	for _, wstep := range []string{"1", "0"} {
-		for _, stamps := range []string{"1", "0"} {
-			for _, kernel := range []string{"1", "0"} {
-				t.Setenv("BBNCG_WSTEP", wstep)
-				t.Setenv("BBNCG_STAMPS", stamps)
-				t.Setenv("BBNCG_SUMKERNEL", kernel)
-				same(ref, run(true), fmt.Sprintf("wstep=%s stamps=%s kernel=%s", wstep, stamps, kernel))
-			}
-		}
-	}
-	t.Setenv("BBNCG_INCREMENTAL", "0")
-	same(ref, run(true), "incremental off")
+	// A zero cache budget keeps every plain responder off the distance
+	// cache: per-candidate Dijkstra, the oracle.
+	old := core.DefaultCacheBudget
+	core.DefaultCacheBudget = 0
+	defer func() { core.DefaultCacheBudget = old }()
+	same(ref, run(false), "uncached oracle")
 }
 
 // An externally supplied weighted pool must survive across runs the way

@@ -10,3 +10,11 @@ import "os"
 func die() {
 	os.Exit(137)
 }
+
+// terminate delivers os.Interrupt to the process, the closest portable
+// graceful-shutdown request.
+func terminate() {
+	if p, err := os.FindProcess(os.Getpid()); err == nil {
+		_ = p.Signal(os.Interrupt)
+	}
+}

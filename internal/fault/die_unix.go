@@ -17,3 +17,9 @@ func die() {
 		os.Exit(137)
 	}
 }
+
+// terminate sends the process SIGTERM: the request a supervisor makes
+// for a graceful shutdown.
+func terminate() {
+	_ = syscall.Kill(os.Getpid(), syscall.SIGTERM)
+}

@@ -16,7 +16,7 @@
 // The BBNCG_FAULTS grammar is a ';'-separated rule list:
 //
 //	rule  := site=mode[:arg]@sched
-//	mode  := error | panic | crash | delay:DURATION | partial:N | torn:N
+//	mode  := error | panic | crash | sigterm | delay:DURATION | partial:N | torn:N
 //	sched := '*' | N | N+ | N,M,... | pFLOAT
 //
 // Hits are counted per site from 1. "@3" fires on exactly the third
@@ -28,6 +28,7 @@
 //	BBNCG_FAULTS='runner.eval=error@3'             third evaluation fails
 //	BBNCG_FAULTS='runner.eval=panic@2;store.append.write=torn:12@5'
 //	BBNCG_FAULTS='store.manifest.rename=crash@1'   SIGKILL at first rename
+//	BBNCG_FAULTS='runner.eval=sigterm@1'           SIGTERM at first evaluation
 package fault
 
 import (
@@ -64,6 +65,10 @@ const (
 	// ModeCrash kills the process at the site with no cleanup — the
 	// SIGKILL simulation.
 	ModeCrash
+	// ModeSigterm sends the process SIGTERM (os.Interrupt off unix),
+	// then proceeds normally: a graceful-shutdown request landing at an
+	// exact point of the run instead of after a wall-clock sleep.
+	ModeSigterm
 )
 
 func (m Mode) String() string {
@@ -80,6 +85,8 @@ func (m Mode) String() string {
 		return "torn"
 	case ModeCrash:
 		return "crash"
+	case ModeSigterm:
+		return "sigterm"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -206,9 +213,10 @@ func injectedErr(site string) error {
 
 // Hit evaluates the failpoint at site: nil when disarmed or the
 // schedule does not fire; otherwise it returns an injected error,
-// panics, sleeps, or kills the process according to the armed mode.
-// Partial-write modes degrade to their closest non-write behaviour
-// (partial → error, torn → crash); use WriteThrough at write sites.
+// panics, sleeps, signals or kills the process according to the armed
+// mode. Partial-write modes degrade to their closest non-write
+// behaviour (partial → error, torn → crash); use WriteThrough at write
+// sites.
 func Hit(site string) error {
 	set := active.Load()
 	if set == nil {
@@ -222,6 +230,9 @@ func Hit(site string) error {
 	case ModeDelay:
 		time.Sleep(r.Delay)
 		return nil
+	case ModeSigterm:
+		terminate()
+		return nil
 	case ModePanic:
 		panic(fmt.Sprintf("fault: injected panic at %s", site))
 	case ModeCrash, ModeTorn:
@@ -233,8 +244,8 @@ func Hit(site string) error {
 // WriteThrough performs w.Write(data) through any fault armed at site:
 // error fails without writing, partial writes a prefix then fails,
 // torn writes a prefix then kills the process, crash kills before
-// writing, delay sleeps then writes normally. Disarmed it is exactly
-// w.Write(data).
+// writing, delay sleeps and sigterm signals, then both write normally.
+// Disarmed it is exactly w.Write(data).
 func WriteThrough(site string, w io.Writer, data []byte) (int, error) {
 	set := active.Load()
 	if set == nil {
@@ -247,6 +258,9 @@ func WriteThrough(site string, w io.Writer, data []byte) (int, error) {
 	switch r.Mode {
 	case ModeDelay:
 		time.Sleep(r.Delay)
+		return w.Write(data)
+	case ModeSigterm:
+		terminate()
 		return w.Write(data)
 	case ModePanic:
 		panic(fmt.Sprintf("fault: injected panic at %s", site))
@@ -339,6 +353,8 @@ func parseRule(s string, seed int64) (Rule, error) {
 		r.Mode = ModePanic
 	case "crash":
 		r.Mode = ModeCrash
+	case "sigterm":
+		r.Mode = ModeSigterm
 	case "delay":
 		r.Mode = ModeDelay
 		d, err := time.ParseDuration(arg)

@@ -3,7 +3,10 @@ package fault
 import (
 	"bytes"
 	"errors"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -121,6 +124,29 @@ func TestDelayMode(t *testing.T) {
 	}
 }
 
+func TestSigtermMode(t *testing.T) {
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+	arm(t, NewSet(Rule{Site: testSiteA, Mode: ModeSigterm, Sched: At(2)}))
+	if err := Hit(testSiteA); err != nil {
+		t.Fatalf("hit 1: %v", err)
+	}
+	select {
+	case sig := <-sigc:
+		t.Fatalf("hit 1 raised %v", sig)
+	default:
+	}
+	if err := Hit(testSiteA); err != nil {
+		t.Fatalf("sigterm returned error %v", err)
+	}
+	select {
+	case <-sigc:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sigterm mode raised no signal")
+	}
+}
+
 func TestPartialWrite(t *testing.T) {
 	arm(t, NewSet(Rule{Site: testSiteWrite, Mode: ModePartial, Bytes: 3, Sched: At(2)}))
 	var buf bytes.Buffer
@@ -159,6 +185,7 @@ func TestParseGrammar(t *testing.T) {
 		"test.site.a=delay:50ms@1+",
 		"test.site.a=error@p0.25",
 		"test.site.a=crash@7",
+		"test.site.a=sigterm@2",
 		"test.site.a=partial:0@1",
 	} {
 		if _, err := Parse(good, 1); err != nil {

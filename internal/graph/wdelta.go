@@ -25,9 +25,8 @@ package graph
 //
 // The thresholds mirror delta.go: classification is abandoned for a
 // full refill past n/8+1 delta edges or RepairRefillFraction damaged
-// rows. With BBNCG_WSTEP=0 the repair degrades to a full scalar
-// Dijkstra refill — the complete reference path the fuzz and property
-// suites pin the incremental path against, bit for bit.
+// rows. The fuzz and property suites pin the repaired matrix against a
+// scalar Dijkstra refill, bit for bit.
 
 // WDeltaScratch holds the reusable buffers of RepairRowsWeighted. Not
 // safe for concurrent use.
@@ -58,7 +57,7 @@ func (c *WCSR) RepairRowsWeighted(rows []int32, off []int32, removed, added []WE
 	if n == 0 || len(removed)+len(added) == 0 {
 		return st
 	}
-	if !WStepEnabled() || len(removed)+len(added) > n/8+1 {
+	if len(removed)+len(added) > n/8+1 {
 		c.DistanceRowsInto(rows, off)
 		st.FullRefill = true
 		return st
