@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per evaluation artifact of the paper
 // (every Table 1 cell and every figure), plus ablation benchmarks for the
-// design choices called out in DESIGN.md. Run with
+// engine's design choices (responder, incremental cost evaluation, loop
+// detection, parallel all-sources BFS). Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -199,7 +200,7 @@ func BenchmarkWeakMachinery(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md) --------------------------------------------
+// --- Ablations of the engine's design choices -------------------------
 
 func ablationGame() (*core.Game, *graph.Digraph) {
 	g := core.UniformGame(24, 2, core.SUM)

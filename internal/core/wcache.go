@@ -150,34 +150,6 @@ func WeightedGreedyResponder(wts *graph.Weights) Responder {
 	}
 }
 
-// WeightedSwapResponder is SwapResponder under arc weights wts.
-func WeightedSwapResponder(wts *graph.Weights) Responder {
-	return func(g *Game, d *graph.Digraph, u int) BestResponse {
-		dv := NewWeightedDeviator(g, d, u, wts)
-		defer dv.release()
-		dv.EnsureCache(DefaultCacheBudget)
-		return g.swapOn(dv, d)
-	}
-}
-
-// WeightedExactResponder is ExactResponder under arc weights wts
-// (panics past maxCandidates, like its unweighted counterpart).
-func WeightedExactResponder(wts *graph.Weights, maxCandidates int64) Responder {
-	return func(g *Game, d *graph.Digraph, u int) BestResponse {
-		n, b := g.N(), g.Budgets[u]
-		space := StrategySpaceSize(n, b)
-		if maxCandidates > 0 && space > maxCandidates {
-			panic("core: weighted exact strategy space exceeds candidate budget")
-		}
-		dv := NewWeightedDeviator(g, d, u, wts)
-		defer dv.release()
-		if space >= int64(n) {
-			dv.EnsureCache(DefaultCacheBudget)
-		}
-		return g.exactOn(dv, d)
-	}
-}
-
 // WeightedAllCosts returns every player's cost in realization d under
 // arc weights wts: one weighted SSSP per source over the underlying
 // graph, with the disconnection penalty scaled to n²·MaxW. At unit

@@ -113,9 +113,11 @@ func TestWeightedUnitBridge(t *testing.T) {
 	}
 }
 
-// The weighted responders on the cached engine (Δ-stepping fill, SUM
-// kernel) must return exactly the response of the oracle, an uncached
-// weighted Deviator that evaluates every candidate by Dijkstra.
+// Weighted responses on the cached engine (Δ-stepping fill, SUM
+// kernel) — WeightedGreedyResponder, and SwapDeviatorResponder on a
+// fresh weighted Deviator — must return exactly the response of the
+// oracle, an uncached weighted Deviator that evaluates every candidate
+// by Dijkstra.
 func TestWeightedRespondersMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for name, d := range weightedFamilies(rng) {
@@ -124,12 +126,15 @@ func TestWeightedRespondersMatchOracle(t *testing.T) {
 			wts := graph.NewWeights(g.N(), 17, 9)
 			u := rng.Intn(g.N())
 			oracle := NewWeightedDeviator(g, d, u, wts)
+			swapDv := NewWeightedDeviator(g, d, u, wts)
+			swap := SwapDeviatorResponder(g, d, swapDv)
+			swapDv.release()
 			for _, c := range []struct {
 				name      string
 				got, want BestResponse
 			}{
 				{"greedy", WeightedGreedyResponder(wts)(g, d, u), g.greedyOn(oracle, d)},
-				{"swap", WeightedSwapResponder(wts)(g, d, u), g.swapOn(oracle, d)},
+				{"swap", swap, g.swapOn(oracle, d)},
 			} {
 				if c.got.Cost != c.want.Cost || c.got.Current != c.want.Current ||
 					c.got.Explored != c.want.Explored || fmt.Sprint(c.got.Strategy) != fmt.Sprint(c.want.Strategy) {

@@ -68,6 +68,10 @@ func BenchmarkDynamicsRoundIncremental(b *testing.B) {
 // a settled SUM profile the pool has already removed the matrix
 // refills, so the O(n) min-merge per candidate is what dominates —
 // exactly the cost the pruning bounds and the candidate memo cut.
+// On the settled profile every candidate is a memo hit, so the n=128
+// gate also compares rounds over the profile one round in from the
+// random start: there players still move, memo entries go stale, and
+// the tier-pruned scans run.
 func BenchmarkDynamicsRoundSUM(b *testing.B) {
 	for _, n := range []int{128, 512} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -77,6 +81,12 @@ func BenchmarkDynamicsRoundSUM(b *testing.B) {
 			settled := settle(b, g, opts, false)
 			if n == 128 {
 				assertPooledMatches(b, g, settled, opts, plainRound(b, g, settled, opts))
+				moving := round(b, g, RandomProfile(g, rand.New(rand.NewSource(9))), opts).Final
+				want := plainRound(b, g, moving, opts)
+				if want.Moves == 0 {
+					b.Fatal("no player moves one round in from the random start")
+				}
+				assertPooledMatches(b, g, moving, opts, want)
 			}
 			pool := core.NewCachePool(g, 0)
 			defer pool.Close()
@@ -321,20 +331,6 @@ func BenchmarkRunSimultaneous(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunSimultaneous(g, start, Options{
 			Responder: core.ExactResponder(0), MaxRounds: 100,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWelfareTrace(b *testing.B) {
-	g := core.UniformGame(24, 1, core.SUM)
-	rng := rand.New(rand.NewSource(1))
-	start := RandomProfile(g, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := WelfareTrace(g, start, Options{
-			Responder: core.ExactResponder(0), MaxRounds: 50,
 		}); err != nil {
 			b.Fatal(err)
 		}

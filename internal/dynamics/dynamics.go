@@ -53,11 +53,15 @@ func (s RandomOrder) Order(dst []int, round int) {
 // Name identifies the scheduler in reports.
 func (s RandomOrder) Name() string { return "random-order" }
 
-// Options configure a dynamics run.
+// Options configure a dynamics run. A run calls exactly one responder:
+// Cached when it is set, Responder otherwise.
 type Options struct {
-	Responder core.Responder // required
-	Scheduler Scheduler      // defaults to RoundRobin
-	MaxRounds int            // defaults to 1000
+	// Responder computes a player's response per call, with no state
+	// kept between calls. Required when Cached is nil, ignored when
+	// Cached is set.
+	Responder core.Responder
+	Scheduler Scheduler // defaults to RoundRobin
+	MaxRounds int       // defaults to 1000
 	// RecordTrajectory stores the social cost (diameter) after every
 	// round in Result.Trajectory.
 	RecordTrajectory bool
@@ -71,24 +75,22 @@ type Options struct {
 	// parallel and revalidate sequentially once a move lands
 	// (speculation pays off because converging runs spend most rounds
 	// with few or no moves); simultaneous rounds are embarrassingly
-	// parallel by definition. Requires the Responder to be safe for
+	// parallel by definition. Requires the responder to be safe for
 	// concurrent invocation against a fixed graph — all responders in
 	// package core are.
 	Parallel bool
-	// Cached is the pooled (Deviator) form of Responder. When set, the
+	// Cached is the pooled (Deviator) form of a responder, and when set
+	// it is the one the run calls; a pooled run needs nothing else. The
 	// engine keeps one cached Deviator per player in a core.CachePool
 	// for the whole run: after each accepted move the pool is
 	// invalidated and each player's dist_{G-u} matrix is lazily
 	// *repaired* (delta BFS over the edges the movers actually changed)
 	// on its next use instead of refilled from scratch, which removes
-	// the dominant O(n²)-fill-per-mover cost of cached dynamics. Cached
-	// must compute exactly the same response as Responder; the built-in
-	// core pairs do, pinned by equivalence tests. Results are identical
-	// with and without it.
+	// the dominant O(n²)-fill-per-mover cost of cached dynamics. Each
+	// built-in core DeviatorResponder computes exactly the response of
+	// its plain Responder counterpart, pinned by equivalence tests, so
+	// results do not depend on which of the two a run is given.
 	Cached core.DeviatorResponder
-	// PoolBudget caps the cache pool size in bytes; 0 means
-	// core.DefaultPoolBudget.
-	PoolBudget int64
 	// Pool supplies an external cache pool that survives across engine
 	// calls (it is not Closed by the run); the caller owns its lifetime
 	// and must have built it for the same game. When nil — the normal
@@ -98,42 +100,69 @@ type Options struct {
 	// Weights runs the dynamics under arc weights (graph.Weights): the
 	// run-owned pool becomes a weighted pool whose entries evaluate
 	// weighted shortest-path costs, and the recorded trajectory is the
-	// weighted social cost. The caller must supply matching weighted
-	// responders (core.WeightedGreedyResponder(Weights), ...) as
-	// Responder; Cached needs no weighted variant, since the pool hands
-	// it weighted Deviators. An external Pool must have been built by
-	// core.NewWeightedCachePool over the same weights.
+	// weighted social cost. Cached needs no weighted variant, since the
+	// pool hands it weighted Deviators; a run without Cached must supply
+	// a weighted Responder (core.WeightedGreedyResponder(Weights)). An
+	// external Pool must have been built by core.NewWeightedCachePool
+	// over the same weights.
 	Weights *graph.Weights
 }
 
-// runState resolves a run's cache pool and per-player response
-// function over the run graph d. The pool is nil without a Cached
-// responder; otherwise it is the caller's external pool — invalidated,
-// since it may have been repaired toward some other graph since its
-// last use here (a stamp skip when nothing actually changed), and with
-// its response memo dropped, since a different responder may have
-// recorded it — or a fresh run-owned pool. A live pool gets a bounded
-// mutation journal on d, so stale entries repair from the exact edge
-// deltas of the accepted moves instead of a full adjacency diff; the
-// bound covers several rounds of typical move churn, and overflow just
-// falls back to the diff. The caller must defer done, which closes a
-// run-owned pool.
-func (opts Options) runState(g *core.Game, d *graph.Digraph) (pool *core.CachePool, respond func(d *graph.Digraph, u, next int) core.BestResponse, done func()) {
+// prologue validates a run's inputs and fills in the defaults shared
+// by Run and RunSimultaneous.
+func (opts *Options) prologue(g *core.Game, start *graph.Digraph) error {
+	if err := g.CheckRealization(start); err != nil {
+		return err
+	}
+	if opts.Responder == nil && opts.Cached == nil {
+		return fmt.Errorf("dynamics: Options.Responder or Options.Cached is required")
+	}
+	if opts.Scheduler == nil {
+		opts.Scheduler = RoundRobin{}
+	}
+	if opts.MaxRounds <= 0 {
+		opts.MaxRounds = 1000
+	}
+	return nil
+}
+
+// runState resolves a run's cache pool and response functions over the
+// run graph d: respond answers one player, respondAll every listed
+// player against the fixed current profile on a worker pool (budget-0
+// entries are zero values). The pool is nil without a Cached responder;
+// otherwise it is the caller's external pool — invalidated, since it
+// may have been repaired toward some other graph since its last use
+// here (a stamp skip when nothing actually changed), and with its
+// response memo dropped, since a different responder may have recorded
+// it — or a fresh run-owned pool. A live pool gets a bounded mutation
+// journal on d, so stale entries repair from the exact edge deltas of
+// the accepted moves instead of a full adjacency diff; the bound covers
+// several rounds of typical move churn, and overflow just falls back to
+// the diff. The caller must defer done, which closes a run-owned pool.
+func (opts Options) runState(g *core.Game, d *graph.Digraph) (pool *core.CachePool, respond func(d *graph.Digraph, u, next int) core.BestResponse, respondAll func(d *graph.Digraph, players []int) []core.BestResponse, done func()) {
 	done = func() {}
 	switch {
 	case opts.Cached == nil:
+		respond = func(d *graph.Digraph, u, _ int) core.BestResponse {
+			return opts.Responder(g, d, u)
+		}
+		respondAll = func(d *graph.Digraph, players []int) []core.BestResponse {
+			return responsesAgainst(g, d, players, opts.Responder)
+		}
+		return nil, respond, respondAll, done
 	case opts.Pool != nil:
 		pool = opts.Pool
 		pool.Invalidate()
 		pool.ResetResponseMemo()
 	default:
-		pool = core.NewWeightedCachePool(g, opts.PoolBudget, opts.Weights)
+		pool = core.NewWeightedCachePool(g, 0, opts.Weights)
 		done = pool.Close
 	}
-	if pool != nil {
-		d.StartJournal(4*d.N() + 64)
+	d.StartJournal(4*d.N() + 64)
+	respondAll = func(d *graph.Digraph, players []int) []core.BestResponse {
+		return pooledResponsesAgainst(g, d, players, pool, opts.Cached)
 	}
-	return pool, respondWith(g, pool, opts), done
+	return pool, pooledRespond(g, pool, opts.Cached), respondAll, done
 }
 
 // socialCost is the trajectory metric of a run: weighted diameter when
@@ -145,21 +174,15 @@ func (opts Options) socialCost(g *core.Game, d *graph.Digraph) int64 {
 	return g.SocialCost(d)
 }
 
-// respondWith returns the per-player response function of a run: the
-// pooled path (acquire → evaluate on the repaired cache → unpin) when
-// pool is live, the plain Responder otherwise. next names the predicted
-// next mover (-1 for none): while u's scan runs, the pool speculatively
-// resyncs next's entry on a spare core. On the pooled path the
-// round-level memo short-circuits the whole scan when the graph is
-// anchored exactly where it was the last time u answered "no improving
-// move" (the skip returns the zero BestResponse, which does not
-// improve — the answer the scan would reproduce).
-func respondWith(g *core.Game, pool *core.CachePool, opts Options) func(d *graph.Digraph, u, next int) core.BestResponse {
-	if pool == nil {
-		return func(d *graph.Digraph, u, _ int) core.BestResponse {
-			return opts.Responder(g, d, u)
-		}
-	}
+// pooledRespond returns the per-player response function over a live
+// pool: acquire → evaluate on the repaired cache → unpin. next names
+// the predicted next mover (-1 for none): while u's scan runs, the pool
+// speculatively resyncs next's entry on a spare core. The round-level
+// memo short-circuits the whole scan when the graph is anchored exactly
+// where it was the last time u answered "no improving move" (the skip
+// returns the zero BestResponse, which does not improve — the answer
+// the scan would reproduce).
+func pooledRespond(g *core.Game, pool *core.CachePool, respond core.DeviatorResponder) func(d *graph.Digraph, u, next int) core.BestResponse {
 	return func(d *graph.Digraph, u, next int) core.BestResponse {
 		if pool.SkipResponse(d, u) {
 			return core.BestResponse{}
@@ -169,7 +192,7 @@ func respondWith(g *core.Game, pool *core.CachePool, opts Options) func(d *graph
 		if next >= 0 {
 			wait = pool.Prefetch(d, next)
 		}
-		br := opts.Cached(g, d, dv)
+		br := respond(g, d, dv)
 		dv.Release()
 		if wait != nil {
 			wait()
@@ -194,23 +217,14 @@ type Result struct {
 // start (which is not modified). If the responder is exact, a converged
 // final graph is a Nash equilibrium of g.
 func Run(g *core.Game, start *graph.Digraph, opts Options) (Result, error) {
-	if err := g.CheckRealization(start); err != nil {
+	if err := opts.prologue(g, start); err != nil {
 		return Result{}, err
-	}
-	if opts.Responder == nil {
-		return Result{}, fmt.Errorf("dynamics: Options.Responder is required")
-	}
-	if opts.Scheduler == nil {
-		opts.Scheduler = RoundRobin{}
-	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 1000
 	}
 	d := start.Clone()
 	n := g.N()
 	order := make([]int, n)
 	res := Result{}
-	pool, respond, done := opts.runState(g, d)
+	pool, respond, respondAll, done := opts.runState(g, d)
 	defer done()
 	par := opts.Parallel && runtime.GOMAXPROCS(0) > 1
 	var seen map[uint64][]seenProfile
@@ -226,11 +240,7 @@ func Run(g *core.Game, start *graph.Digraph, opts Options) (Result, error) {
 			// Speculation only pays when the precompute actually runs on
 			// spare cores; on one core it would double the work of every
 			// round that contains a move.
-			if pool != nil {
-				speculative = pooledResponsesAgainst(g, d, order, pool, opts.Cached)
-			} else {
-				speculative = responsesAgainst(g, d, order, opts.Responder)
-			}
+			speculative = respondAll(d, order)
 		}
 		for idx, u := range order {
 			if g.Budgets[u] == 0 {

@@ -177,6 +177,28 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(wrong, d, exactOpts()); err == nil {
 		t.Fatal("realization mismatch accepted")
 	}
+	assertCachedOnlyMatchesPlain(t, Run)
+}
+
+// assertCachedOnlyMatchesPlain runs engine from a path once with only a
+// Cached responder and once with only its plain counterpart: a pooled
+// run needs no Responder, and both runs must agree move for move.
+func assertCachedOnlyMatchesPlain(t *testing.T, engine func(*core.Game, *graph.Digraph, Options) (Result, error)) {
+	t.Helper()
+	d := graph.PathGraph(9)
+	g := core.GameOf(d, core.SUM)
+	want, err := engine(g, d, Options{Responder: core.GreedyResponder, MaxRounds: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := engine(g, d, Options{Cached: core.GreedyDeviatorResponder, MaxRounds: 50})
+	if err != nil {
+		t.Fatalf("Cached-only options rejected: %v", err)
+	}
+	if want.Moves == 0 {
+		t.Fatal("reference run made no moves; the comparison is vacuous")
+	}
+	assertSameResult(t, "Cached-only vs plain", got, want)
 }
 
 func TestSwapResponderDynamics(t *testing.T) {

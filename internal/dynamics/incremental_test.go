@@ -72,10 +72,11 @@ func TestIncrementalParallelRace(t *testing.T) {
 	g := core.UniformGame(n, 2, core.MAX)
 	start := RandomProfile(g, rand.New(rand.NewSource(11)))
 	// Room for only 5 of 16 matrices: constant eviction pressure.
-	budget := 5 * 4 * int64(n) * int64(n+1)
+	pool := core.NewCachePool(g, 5*4*int64(n)*int64(n+1))
+	defer pool.Close()
 	inc := Options{
-		Responder: core.GreedyResponder, Cached: core.GreedyDeviatorResponder,
-		Parallel: true, PoolBudget: budget, MaxRounds: 60, DetectLoops: true,
+		Cached:   core.GreedyDeviatorResponder,
+		Parallel: true, Pool: pool, MaxRounds: 60, DetectLoops: true,
 	}
 	got, err := Run(g, start, inc)
 	if err != nil {

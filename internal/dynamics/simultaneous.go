@@ -1,8 +1,6 @@
 package dynamics
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -20,19 +18,13 @@ import (
 // detection is always on (simultaneous runs that do not converge
 // almost always cycle).
 func RunSimultaneous(g *core.Game, start *graph.Digraph, opts Options) (Result, error) {
-	if err := g.CheckRealization(start); err != nil {
+	if err := opts.prologue(g, start); err != nil {
 		return Result{}, err
-	}
-	if opts.Responder == nil {
-		return Result{}, fmt.Errorf("dynamics: Options.Responder is required")
-	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 1000
 	}
 	d := start.Clone()
 	n := g.N()
 	res := Result{}
-	pool, respond, done := opts.runState(g, d)
+	pool, respond, respondAll, done := opts.runState(g, d)
 	defer done()
 	seen := make(map[uint64][]seenProfile)
 	recordProfile(seen, core.ProfileOf(d), 0)
@@ -49,13 +41,7 @@ func RunSimultaneous(g *core.Game, start *graph.Digraph, opts Options) (Result, 
 		if opts.Parallel {
 			// Every response is computed against the same fixed profile,
 			// so the simultaneous round is embarrassingly parallel.
-			var brs []core.BestResponse
-			if pool != nil {
-				brs = pooledResponsesAgainst(g, d, players, pool, opts.Cached)
-			} else {
-				brs = responsesAgainst(g, d, players, opts.Responder)
-			}
-			for u, br := range brs {
+			for u, br := range respondAll(d, players) {
 				next[u] = nil
 				if g.Budgets[u] != 0 && br.Improves() {
 					next[u] = br.Strategy
@@ -99,62 +85,4 @@ func RunSimultaneous(g *core.Game, start *graph.Digraph, opts Options) (Result, 
 	}
 	res.Final = d
 	return res, nil
-}
-
-// WelfareTrace records the total player cost (the utilitarian welfare
-// measure, distinct from the paper's diameter social cost) after each
-// round of sequential dynamics. Its non-monotonicity is evidence that
-// the game admits no obvious exact potential — context for why Section 8
-// leaves convergence open.
-func WelfareTrace(g *core.Game, start *graph.Digraph, opts Options) ([]int64, Result, error) {
-	if err := g.CheckRealization(start); err != nil {
-		return nil, Result{}, err
-	}
-	if opts.Responder == nil {
-		return nil, Result{}, fmt.Errorf("dynamics: Options.Responder is required")
-	}
-	if opts.Scheduler == nil {
-		opts.Scheduler = RoundRobin{}
-	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 200
-	}
-	d := start.Clone()
-	n := g.N()
-	order := make([]int, n)
-	pool, respond, done := opts.runState(g, d)
-	defer done()
-	welfare := func() int64 {
-		var total int64
-		for _, c := range g.AllCosts(d) {
-			total += c
-		}
-		return total
-	}
-	trace := []int64{welfare()}
-	res := Result{}
-	for round := 1; round <= opts.MaxRounds; round++ {
-		opts.Scheduler.Order(order, round)
-		changed := false
-		for _, u := range order {
-			if g.Budgets[u] == 0 {
-				continue
-			}
-			br := respond(d, u, -1)
-			if br.Improves() {
-				d.SetOut(u, br.Strategy)
-				pool.Invalidate()
-				res.Moves++
-				changed = true
-			}
-		}
-		res.Rounds = round
-		trace = append(trace, welfare())
-		if !changed {
-			res.Converged = true
-			break
-		}
-	}
-	res.Final = d
-	return trace, res, nil
 }

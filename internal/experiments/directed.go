@@ -59,7 +59,6 @@ func evalDirected(p runner.Point) (any, error) {
 	for trial := 0; trial < c.trials; trial++ {
 		start := dynamics.RandomProfile(und, rng)
 		uRes, err := dynamics.Run(und, start, dynamics.Options{
-			Responder:   core.ExactResponder(0),
 			Cached:      core.ExactDeviatorResponder(0),
 			DetectLoops: true,
 			MaxRounds:   600,

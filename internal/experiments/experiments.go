@@ -246,7 +246,6 @@ func evalUnit(version core.Version, trials int, p runner.Point) (any, error) {
 	defer pool.Close()
 	for trial := 0; trial < trials; trial++ {
 		out, err := dynamics.RunFromRandom(g, rng, dynamics.Options{
-			Responder:   core.ExactResponder(0),
 			Cached:      core.ExactDeviatorResponder(0),
 			DetectLoops: true,
 			MaxRounds:   2000,
@@ -415,14 +414,11 @@ func evalGeneralSUM(trials int, p runner.Point) (any, error) {
 	for trial := 0; trial < trials; trial++ {
 		budgets := randomConnectedBudgets(n, rng)
 		g := core.MustGame(budgets, core.SUM)
-		responder := core.Responder(core.GreedyResponder)
 		cached := core.DeviatorResponder(core.GreedyDeviatorResponder)
 		if n <= 12 {
-			responder = core.ExactResponder(0)
 			cached = core.ExactDeviatorResponder(0)
 		}
 		out, err := dynamics.RunFromRandom(g, rng, dynamics.Options{
-			Responder:   responder,
 			Cached:      cached,
 			DetectLoops: true,
 			MaxRounds:   400,

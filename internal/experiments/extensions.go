@@ -182,7 +182,6 @@ func evalUniformBudget(p runner.Point) (any, error) {
 	defer pool.Close()
 	for trial := 0; trial < 6; trial++ {
 		out, err := dynamics.RunFromRandom(g, rng, dynamics.Options{
-			Responder:   core.GreedyResponder,
 			Cached:      core.GreedyDeviatorResponder,
 			DetectLoops: true,
 			MaxRounds:   300,
@@ -361,7 +360,7 @@ func evalWeakMachinery(p runner.Point) (any, error) {
 	for _, n := range ns {
 		g := core.UniformGame(n, 1, core.SUM)
 		out, err := dynamics.RunFromRandom(g, rng, dynamics.Options{
-			Responder: core.ExactResponder(0), Cached: core.ExactDeviatorResponder(0),
+			Cached:      core.ExactDeviatorResponder(0),
 			DetectLoops: true, MaxRounds: 1000,
 		})
 		if err != nil {

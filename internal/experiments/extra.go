@@ -248,14 +248,11 @@ func evalConnectivity(p runner.Point) (any, error) {
 	pool := core.NewCachePool(g, 0)
 	defer pool.Close()
 	for trial := 0; trial < trials; trial++ {
-		responder := core.Responder(core.GreedyResponder)
 		cached := core.DeviatorResponder(core.GreedyDeviatorResponder)
 		if core.StrategySpaceSize(n, k) <= 3000 {
-			responder = core.ExactResponder(0)
 			cached = core.ExactDeviatorResponder(0)
 		}
 		out, err := dynamics.RunFromRandom(g, rng, dynamics.Options{
-			Responder:   responder,
 			Cached:      cached,
 			DetectLoops: true,
 			MaxRounds:   300,
@@ -360,7 +357,6 @@ func evalDynamicsStats(trials int, p runner.Point) (any, error) {
 			sched = dynamics.RandomOrder{Rng: rng}
 		}
 		out, err := dynamics.RunFromRandom(g, rng, dynamics.Options{
-			Responder:   core.ExactResponder(0),
 			Cached:      core.ExactDeviatorResponder(0),
 			Scheduler:   sched,
 			DetectLoops: true,

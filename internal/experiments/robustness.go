@@ -78,7 +78,6 @@ func evalRobustness(p runner.Point) (any, error) {
 		}
 		g := core.MustGame(graph.BudgetsOf(start), core.SUM)
 		out, err := dynamics.Run(g, start, dynamics.Options{
-			Responder:   core.GreedyResponder,
 			Cached:      core.GreedyDeviatorResponder,
 			DetectLoops: true,
 			MaxRounds:   300,

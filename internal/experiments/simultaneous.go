@@ -59,7 +59,6 @@ func evalSimultaneous(p runner.Point) (any, error) {
 	for trial := 0; trial < c.trials; trial++ {
 		start := dynamics.RandomProfile(g, rng)
 		seq, err := dynamics.Run(g, start, dynamics.Options{
-			Responder:   core.ExactResponder(0),
 			Cached:      core.ExactDeviatorResponder(0),
 			DetectLoops: true,
 			MaxRounds:   800,
@@ -77,7 +76,6 @@ func evalSimultaneous(p runner.Point) (any, error) {
 			r.SeqTimeouts++
 		}
 		sim, err := dynamics.RunSimultaneous(g, start, dynamics.Options{
-			Responder: core.ExactResponder(0),
 			Cached:    core.ExactDeviatorResponder(0),
 			MaxRounds: 800,
 			Pool:      pool,

@@ -59,7 +59,6 @@ func evalTreeDynamics(p runner.Point) (any, error) {
 		budgets := randomTreeBudgets(c.n, rng)
 		g := core.MustGame(budgets, c.ver)
 		out, err := dynamics.RunFromRandom(g, rng, dynamics.Options{
-			Responder:   core.ExactResponder(0),
 			Cached:      core.ExactDeviatorResponder(0),
 			DetectLoops: true,
 			MaxRounds:   1500,

@@ -73,7 +73,6 @@ func evalWeightedDyn(p runner.Point) (any, error) {
 		g := core.MustGame(graph.BudgetsOf(start), core.SUM)
 		wts := graph.NewWeights(c.n, rng.Int63(), c.maxW)
 		out, err := dynamics.Run(g, start, dynamics.Options{
-			Responder:   core.WeightedGreedyResponder(wts),
 			Cached:      core.GreedyDeviatorResponder,
 			Weights:     wts,
 			DetectLoops: true,

@@ -128,10 +128,9 @@ type BestResponse = core.BestResponse
 // Deviation witnesses that a profile is not stable.
 type Deviation = core.Deviation
 
-// Responder computes a (possibly heuristic) response for a player;
-// DeviatorResponder is its pooled form evaluating on a warm cache.
+// DeviatorResponder computes a (possibly heuristic) response for a
+// player, evaluating on a Deviator's warm cache.
 type (
-	Responder         = core.Responder
 	DeviatorResponder = core.DeviatorResponder
 	Deviator          = core.Deviator
 )
@@ -193,10 +192,9 @@ func (s WeightsSpec) Build(n int) (*Weights, error) {
 // exact solver is exponential in the budget (Theorem 2.1).
 const DefaultExactCap int64 = 1 << 20
 
-// ResponderChoice pairs the plain and pooled forms of one responder.
+// ResponderChoice is one named responder in its pooled form.
 type ResponderChoice struct {
 	Name   string
-	Plain  Responder
 	Cached DeviatorResponder
 	// Exact reports whether the responder enumerates the full strategy
 	// space (so a non-improving answer certifies a best response).
@@ -211,16 +209,15 @@ type ResponderChoice struct {
 func ResponderByName(name string, exactCap int64) (ResponderChoice, error) {
 	switch name {
 	case "greedy", "":
-		return ResponderChoice{Name: "greedy", Plain: core.GreedyResponder, Cached: core.GreedyDeviatorResponder}, nil
+		return ResponderChoice{Name: "greedy", Cached: core.GreedyDeviatorResponder}, nil
 	case "swap":
-		return ResponderChoice{Name: "swap", Plain: core.SwapResponder, Cached: core.SwapDeviatorResponder}, nil
+		return ResponderChoice{Name: "swap", Cached: core.SwapDeviatorResponder}, nil
 	case "exact":
 		if exactCap <= 0 {
 			exactCap = DefaultExactCap
 		}
 		return ResponderChoice{
 			Name:   "exact",
-			Plain:  core.ExactResponder(exactCap),
 			Cached: core.ExactDeviatorResponder(exactCap),
 			Exact:  true,
 			Cap:    exactCap,

@@ -113,7 +113,7 @@ func TestResponderByNameAndExactGuard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)
 		}
-		if rc.Plain == nil || rc.Cached == nil {
+		if rc.Cached == nil {
 			t.Fatalf("%q: nil responder", name)
 		}
 	}
@@ -157,7 +157,7 @@ func TestWelfareAndPooledResponse(t *testing.T) {
 	rc, _ := ResponderByName("greedy", 0)
 	d.StartJournal(64)
 	br := PooledResponse(g, d, pool, 0, rc.Cached, true)
-	plain := rc.Plain(g, d, 0)
+	plain := g.GreedyBestResponse(d, 0)
 	if br.Improves() != plain.Improves() || br.Cost != plain.Cost {
 		t.Fatalf("pooled and plain answers differ: %+v vs %+v", br, plain)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/dynamics"
 )
 
@@ -41,8 +40,8 @@ type DynamicsOptions struct {
 }
 
 // engineOptions lowers the wire form onto the dynamics engine,
-// resolving the responder pair and validating exact spaces up front so
-// the engine cannot panic on wire input.
+// resolving the pooled responder and validating exact spaces up front
+// so the engine cannot panic on wire input.
 func (o DynamicsOptions) engineOptions(g *Game) (dynamics.Options, error) {
 	rc, err := ResponderByName(o.Responder, o.ExactCap)
 	if err != nil {
@@ -56,7 +55,6 @@ func (o DynamicsOptions) engineOptions(g *Game) (dynamics.Options, error) {
 		}
 	}
 	opts := dynamics.Options{
-		Responder:        rc.Plain,
 		Cached:           rc.Cached,
 		MaxRounds:        o.MaxRounds,
 		DetectLoops:      o.DetectLoops,
@@ -64,20 +62,6 @@ func (o DynamicsOptions) engineOptions(g *Game) (dynamics.Options, error) {
 		Parallel:         o.Parallel,
 		Pool:             o.Pool,
 		Weights:          o.Weights,
-	}
-	if o.Weights != nil {
-		// The plain responder (the no-pool fallback path) must optimise
-		// the weighted costs; the pooled DeviatorResponder needs no
-		// variant — it evaluates through the acquired Deviator, which
-		// carries the weighted state.
-		switch rc.Name {
-		case "greedy":
-			opts.Responder = core.WeightedGreedyResponder(o.Weights)
-		case "swap":
-			opts.Responder = core.WeightedSwapResponder(o.Weights)
-		case "exact":
-			opts.Responder = core.WeightedExactResponder(o.Weights, rc.Cap)
-		}
 	}
 	if o.ShuffleSeed != 0 {
 		opts.Scheduler = dynamics.RandomOrder{Rng: rand.New(rand.NewSource(o.ShuffleSeed))}
